@@ -4,8 +4,9 @@
 it produces explicit, validated :class:`Channel` sequences, and the
 analytical model's stage accounting is checked against it.  But rebuilding
 that object chain for every simulated message is the single largest cost of
-a simulation run.  This module walks the router **once per tree shape** and
-freezes its output into integer-indexed route tables:
+a simulation run.  This module freezes the same routes **once per tree
+shape** into integer-indexed route tables, built by walking integer channel
+ids (never ``Channel`` objects) and sharing route legs between pairs:
 
 * :class:`CompiledTreeRoutes` — for one ``(m, n)`` shape: the full
   node-to-node routes plus the ascending and descending ECN1 legs, each as a
@@ -22,16 +23,22 @@ freezes its output into integer-indexed route tables:
 
 Every compiled route round-trips: ``decompile(...)`` maps a compiled id
 tuple back to the exact ``Channel`` sequence, and the test suite asserts
-equality with a freshly routed :class:`Route` for heterogeneous specs.
+equality with a freshly routed :class:`Route` — the object routers stay the
+reference the integer walks are checked against.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Dict, List, Tuple
 
-from repro.routing.updown import UpDownRouter
-from repro.topology.compile import CompiledSystem, compile_system, compile_tree
-from repro.topology.fat_tree import Channel, shared_tree
+from repro.topology.compile import (
+    KIND_CODES,
+    CompiledSystem,
+    compile_system,
+    compile_tree,
+)
+from repro.topology.fat_tree import Channel, ChannelKind, shared_tree
 from repro.topology.multicluster import MultiClusterSpec
 from repro.utils.validation import ValidationError
 
@@ -59,6 +66,157 @@ IdTuple = Tuple[int, ...]
 #: touches the pairs its traffic pattern draws.
 LAZY_NODE_THRESHOLD = 256
 
+_INJECTION = KIND_CODES[ChannelKind.INJECTION]
+_EJECTION = KIND_CODES[ChannelKind.EJECTION]
+_UP = KIND_CODES[ChannelKind.UP]
+
+
+class _TreeWalker:
+    """Integer up*/down* walks of one m-port n-tree.
+
+    The compile-time scratch of :class:`CompiledTreeRoutes`.  Channel ids
+    come from the compiled tree's flat arrays and the switch adjacency from
+    the tree's own navigation (``up_switches`` / ``down_switches``, indexed
+    by port digit), so :meth:`MPortNTree.channels` stays the single owner of
+    the id order.  Walks follow :class:`~repro.routing.updown.UpDownRouter`
+    exactly: ascend on the destination's low-order digits
+    (:func:`~repro.routing.nca.ascent_digits`), then descend the unique path.
+    The descent from ``(switch, destination)`` is the same for every walk
+    turning at that switch, so its suffix below each switch is memoised on
+    the way down and equal descents are one shared tuple.
+    """
+
+    __slots__ = ("n", "num_nodes", "tree", "ejection", "level", "up", "down", "descents")
+
+    def __init__(
+        self, tree, links: Dict[Tuple[int, int], int], ejection: List[int]
+    ) -> None:
+        # links: (source, target) entity ids of each switch-switch channel
+        # -> its channel id; ejection: the ejection channel id per node.
+        num_nodes = tree.num_nodes
+        self.n = tree.n
+        self.num_nodes = num_nodes
+        self.tree = tree
+        self.ejection = ejection
+        # Switch ids follow the compiled tree's entity numbering: switch
+        # ``s`` in ``tree.switches()`` order is entity ``num_nodes + s``.
+        switches = list(tree.switches())
+        switch_ids = {switch: index for index, switch in enumerate(switches)}
+
+        def ports(switch, neighbours) -> Tuple[Tuple[int, int], ...]:
+            here = num_nodes + switch_ids[switch]
+            result = []
+            for other in neighbours:
+                there = switch_ids[other]
+                result.append((links[here, num_nodes + there], there))
+            return tuple(result)
+
+        self.level = [switch.level for switch in switches]
+        self.up = [ports(switch, tree.up_switches(switch)) for switch in switches]
+        self.down = [ports(switch, tree.down_switches(switch)) for switch in switches]
+        self.descents: Dict[int, IdTuple] = {}
+
+    def walk_from(self, leaf: int, source: int) -> Tuple[List[IdTuple], List[IdTuple]]:
+        """Per destination: up ids to the NCA, down and ejection ids from it.
+
+        Covers every walk leaving ``leaf``, the leaf switch of ``source``;
+        the entry for ``source`` itself is meaningless (the diagonal never
+        routes).  A destination ``j`` links up shares its climb with every
+        destination that agrees on the ``j - 1`` low-order digits the
+        climb reads, so climbs are walked once per such class.
+        """
+        k = self.tree.k
+        n = self.n
+        num_nodes = self.num_nodes
+        powers = [k**t for t in range(n)]
+        # The paper's j per destination: the nodes sharing all but the last
+        # t address digits with `source` are one block of k**t indices.
+        spans = [n] * num_nodes
+        for t in range(n - 1, 0, -1):
+            block = powers[t]
+            start = source - source % block
+            spans[start : start + block] = [t] * block
+        up = self.up
+        descents = self.descents
+        climbs: Dict[int, Tuple[IdTuple, int]] = {}
+        ups: List[IdTuple] = []
+        downs: List[IdTuple] = []
+        for dest, j in enumerate(spans):
+            key = j * num_nodes + dest % powers[j - 1]
+            climb = climbs.get(key)
+            if climb is None:
+                hops = []
+                switch = leaf
+                digits = dest
+                for _ in range(j - 1):
+                    # Up-port t is digit n - t of the destination address.
+                    cid, switch = up[switch][digits % k]
+                    digits //= k
+                    hops.append(cid)
+                climb = climbs[key] = (tuple(hops), switch)
+            hops, nca = climb
+            ups.append(hops)
+            down = descents.get(nca * num_nodes + dest)
+            downs.append(self.descent(nca, dest) if down is None else down)
+        return ups, downs
+
+    def descent(self, switch: int, dest: int) -> IdTuple:
+        """Down- plus ejection-channel ids from ``switch`` to ``dest``."""
+        num_nodes = self.num_nodes
+        descents = self.descents
+        key = switch * num_nodes + dest
+        path = descents.get(key)
+        if path is not None:
+            return path
+        n = self.n
+        digits = self.tree.node_address(dest)
+        level = self.level
+        down = self.down
+        chain = []
+        while path is None:
+            depth = level[switch]
+            if depth == 0:
+                path = descents[key] = (self.ejection[dest],)
+                break
+            cid, switch = down[switch][digits[n - 1 - depth]]
+            chain.append((key, cid))
+            key = switch * num_nodes + dest
+            path = descents.get(key)
+        for key, cid in reversed(chain):
+            path = descents[key] = (cid,) + path
+        return path
+
+
+def _shifter(offset: int):
+    """Shift id tuples by ``offset``, each distinct tuple object once.
+
+    Legs shared between pairs stay shared in the shifted copy.  Keys are
+    object ids, so the caller keeps every shifted tuple alive meanwhile.
+    """
+    add = offset.__add__
+    shifted: Dict[int, IdTuple] = {}
+
+    def shift(ids: IdTuple) -> IdTuple:
+        moved = shifted.get(id(ids))
+        if moved is None:
+            moved = shifted[id(ids)] = tuple(map(add, ids))
+        return moved
+
+    return shift
+
+
+def _ascending_row(injection: int, ups: List[IdTuple]) -> List[IdTuple]:
+    """Injection plus climb per destination, one tuple per distinct climb."""
+    legs = {climb: (injection, *climb) for climb in set(ups)}
+    return [legs[climb] for climb in ups]
+
+
+def _store_row(table: list, row: list, source: int) -> None:
+    """Write ``row`` as source row ``source``, its diagonal entry ``None``."""
+    base = source * len(row)
+    table[base : base + len(row)] = row
+    table[base + source] = None
+
 
 class CompiledTreeRoutes:
     """All deterministic routes of one tree shape as dense-id tuples.
@@ -76,12 +234,22 @@ class CompiledTreeRoutes:
     * ``descending[p * N + d]`` — the ECN1 descending leg entered at the NCA
       of entry peer ``p`` and ``d`` (down + ejection channels).
 
+    All four come from the *leaf legs*: every source on one leaf switch
+    shares, per destination, its climb to the NCA and the descent from it
+    (``leaf_legs[leaf] = (ups, downs)``, walked once per leaf by
+    :class:`_TreeWalker`).  A row is then injection + climb (``ascending``),
+    the descent (``descending``) and their concatenation (``full``); equal
+    legs are shared tuples, as the tables are read-only.  The same leaf legs
+    shifted by a block offset give a system's rebased copies
+    (:meth:`rebased_full`, :meth:`rebased_legs`) without re-walking.
+
     Small shapes compile every row eagerly (the tables are then plain lists
     with no indirection on the hot path).  Tall shapes — at least
     :data:`LAZY_NODE_THRESHOLD` nodes, or ``lazy=True`` explicitly — keep
-    the router and fill one *source row* (all four tables for one ``s``) on
+    the walker and fill one *source row* (all four tables for one ``s``) on
     the first query touching it, so compile cost is O(rows used) instead of
-    O(N²); :attr:`compiled_rows` records which rows exist.
+    O(N²); :attr:`compiled_rows` records which rows exist.  The walker and
+    its memo are dropped once the last row is filled.
     """
 
     __slots__ = (
@@ -94,8 +262,10 @@ class CompiledTreeRoutes:
         "descending",
         "lazy",
         "compiled_rows",
-        "_router",
-        "_ids",
+        "leaf_of",
+        "injection",
+        "leaf_legs",
+        "_walker",
     )
 
     def __init__(self, m: int, n: int, lazy: bool | None = None) -> None:
@@ -106,8 +276,26 @@ class CompiledTreeRoutes:
         num_nodes = tree.num_nodes
         self.num_nodes = num_nodes
         self.lazy = num_nodes >= LAZY_NODE_THRESHOLD if lazy is None else bool(lazy)
-        self._router = UpDownRouter(tree)
-        self._ids = compiled.channel_ids
+        injection = [0] * num_nodes
+        ejection = [0] * num_nodes
+        leaf_of = [0] * num_nodes
+        links: Dict[Tuple[int, int], int] = {}
+        sources = compiled.source_ids.tolist()
+        targets = compiled.target_ids.tolist()
+        for cid, kind in enumerate(compiled.kind_codes.tolist()):
+            if kind == _INJECTION:
+                injection[sources[cid]] = cid
+                leaf_of[sources[cid]] = targets[cid] - num_nodes
+            elif kind == _EJECTION:
+                ejection[targets[cid]] = cid
+            else:
+                links[sources[cid], targets[cid]] = cid
+        self.injection = injection
+        self.leaf_of = leaf_of
+        self.leaf_legs: List[Tuple[List[IdTuple], List[IdTuple]] | None] = [None] * (
+            max(leaf_of) + 1
+        )
+        self._walker: _TreeWalker | None = _TreeWalker(tree, links, ejection)
         self.compiled_rows: set = set()
 
         pairs = num_nodes * num_nodes
@@ -116,42 +304,30 @@ class CompiledTreeRoutes:
         self.ascending: List[IdTuple | None] = [None] * pairs
         self.descending: List[IdTuple | None] = [None] * pairs
         if not self.lazy:
-            for source in range(num_nodes):
-                self._fill_row(source)
-            # Eager tables are complete: drop the router and id map so the
-            # module-level shape cache does not pin them for the process
-            # lifetime.
-            self._router = None
-            self._ids = None
+            self.ensure_complete()
 
     def _fill_row(self, source: int) -> None:
         """Compile all four tables for one source/entry-peer row."""
-        router = self._router
-        ids = self._ids
-        num_nodes = self.num_nodes
-        full = self.full
-        has_switch = self.full_has_switch
-        ascending = self.ascending
-        descending = self.descending
-        base = source * num_nodes
-        for other in range(num_nodes):
-            if other == source:
-                continue
-            route = router.route(source, other)
-            full[base + other] = tuple(ids[channel] for channel in route)
-            has_switch[base + other] = any(
-                not channel.kind.is_node_channel for channel in route
-            )
-            ascending[base + other] = tuple(
-                ids[channel] for channel in router.ascending_leg(source, other)
-            )
-            # descending is keyed (entry peer, destination) = (source,
-            # other) here: the leg from the NCA of `source` and `other`
-            # down to `other`.
-            descending[base + other] = tuple(
-                ids[channel] for channel in router.descending_leg(source, other)
-            )
+        leaf = self.leaf_of[source]
+        legs = self.leaf_legs[leaf]
+        if legs is None:
+            legs = self.leaf_legs[leaf] = self._walker.walk_from(leaf, source)
+        ups, downs = legs
+        ascending = _ascending_row(self.injection[source], ups)
+        _store_row(self.full, [leg + down for leg, down in zip(ascending, downs)], source)
+        _store_row(self.ascending, ascending, source)
+        # descending is keyed (entry peer, destination) = (source, other)
+        # here: the leg from the NCA of `source` and `other` down to `other`.
+        _store_row(self.descending, downs, source)
+        base = source * self.num_nodes
+        self.full_has_switch[base : base + self.num_nodes] = map(bool, ups)
+        self.full_has_switch[base + source] = False
         self.compiled_rows.add(source)
+        if len(self.compiled_rows) == self.num_nodes:
+            # Complete tables need no walker: drop it and its memo so the
+            # module-level shape cache does not pin them for the process
+            # lifetime.
+            self._walker = None
 
     def ensure_pair(self, source: int, other: int) -> None:
         """Make sure the row covering ``(source, other)`` is compiled."""
@@ -169,6 +345,44 @@ class CompiledTreeRoutes:
         for source in range(self.num_nodes):
             if source not in self.compiled_rows:
                 self._fill_row(source)
+
+    # ----------------------------------------------------------- rebasing
+    def _shifted_rows(self, offset: int):
+        """Per source: ``(source, injection, ups, downs)`` shifted by ``offset``."""
+        self.ensure_complete()
+        shift = _shifter(offset)
+        shifted: Dict[int, Tuple[List[IdTuple], List[IdTuple]]] = {}
+        for source, leaf in enumerate(self.leaf_of):
+            legs = shifted.get(leaf)
+            if legs is None:
+                ups, downs = self.leaf_legs[leaf]
+                climbs = {climb: shift(climb) for climb in set(ups)}
+                legs = shifted[leaf] = (
+                    list(map(climbs.__getitem__, ups)),
+                    list(map(shift, downs)),
+                )
+            yield (source, self.injection[source] + offset, *legs)
+
+    def rebased_full(self, offset: int) -> List[IdTuple | None]:
+        """``full`` shifted into the global channel-id block at ``offset``."""
+        if offset == 0:
+            return self.full
+        table: List[IdTuple | None] = [None] * len(self.full)
+        for source, injection, ups, downs in self._shifted_rows(offset):
+            ascending = _ascending_row(injection, ups)
+            _store_row(table, [leg + down for leg, down in zip(ascending, downs)], source)
+        return table
+
+    def rebased_legs(self, offset: int) -> Tuple[List[IdTuple | None], List[IdTuple | None]]:
+        """``(ascending, descending)`` shifted into the block at ``offset``."""
+        if offset == 0:
+            return self.ascending, self.descending
+        ascending: List[IdTuple | None] = [None] * len(self.ascending)
+        descending: List[IdTuple | None] = [None] * len(self.descending)
+        for source, injection, ups, downs in self._shifted_rows(offset):
+            _store_row(ascending, _ascending_row(injection, ups), source)
+            _store_row(descending, downs, source)
+        return ascending, descending
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         mode = "lazy" if self.lazy else "eager"
@@ -190,6 +404,110 @@ def compile_tree_routes(m: int, n: int) -> CompiledTreeRoutes:
     return routes
 
 
+class _GraphWalker:
+    """Integer up*/down* search of one zoo graph, one BFS per source switch.
+
+    The compile-time scratch of :class:`CompiledGraphRoutes`, built from the
+    compiled graph's flat arrays alone (so :meth:`ZooTopology.channels`
+    owns the id order).  The search mirrors
+    :class:`~repro.routing.updown.GraphUpDownRouter` state for state: FIFO
+    over ``(switch, phase)`` states, UP successors before DOWN ones,
+    neighbours in ascending switch id, and the first state reaching a
+    switch fixes its arrival.  Each state carries its parent's id tuple
+    plus one channel id, so a switch's arrival *is* its channel path.
+
+    A search is kept only while hosts of its switch still wait for their
+    rows (several hosts share an edge switch in the tree families).
+    """
+
+    __slots__ = (
+        "num_switches",
+        "host_switch",
+        "injection",
+        "ejection",
+        "up",
+        "down",
+        "searches",
+        "waiting",
+    )
+
+    def __init__(self, compiled) -> None:
+        num_nodes = compiled.num_nodes
+        num_switches = compiled.num_switches
+        self.num_switches = num_switches
+        host_switch = [0] * num_nodes
+        injection = [0] * num_nodes
+        ejection = [0] * num_nodes
+        up: List[Dict[int, int]] = [{} for _ in range(num_switches)]
+        down: List[Dict[int, int]] = [{} for _ in range(num_switches)]
+        sources = compiled.source_ids.tolist()
+        targets = compiled.target_ids.tolist()
+        for cid, kind in enumerate(compiled.kind_codes.tolist()):
+            source = sources[cid]
+            target = targets[cid]
+            if kind == _INJECTION:
+                injection[source] = cid
+                host_switch[source] = target - num_nodes
+            elif kind == _EJECTION:
+                ejection[target] = cid
+            else:
+                # A repeated (switch, switch, kind) channel keeps its last
+                # id, as the compiled ``channel_ids`` map does.
+                adjacency = up if kind == _UP else down
+                adjacency[source - num_nodes][target - num_nodes] = cid
+        self.host_switch = host_switch
+        self.injection = injection
+        self.ejection = ejection
+        self.up = [tuple(sorted(ports.items())) for ports in up]
+        self.down = [tuple(sorted(ports.items())) for ports in down]
+        self.searches: Dict[int, List[IdTuple | None]] = {}
+        self.waiting = [0] * num_switches
+        for switch in host_switch:
+            self.waiting[switch] += 1
+
+    def arrivals(self, start: int) -> List[IdTuple | None]:
+        """Switch-switch channel ids from ``start`` to every switch."""
+        search = self.searches.get(start)
+        if search is None:
+            search = self._search(start)
+        self.waiting[start] -= 1
+        if self.waiting[start]:
+            self.searches[start] = search
+        else:
+            self.searches.pop(start, None)
+        return search
+
+    def _search(self, start: int) -> List[IdTuple | None]:
+        up = self.up
+        down = self.down
+        arrival: List[IdTuple | None] = [None] * self.num_switches
+        arrival[start] = ()
+        seen_up = bytearray(self.num_switches)
+        seen_down = bytearray(self.num_switches)
+        seen_up[start] = 1
+        queue = deque(((start, True, ()),))
+        pop = queue.popleft
+        push = queue.append
+        while queue:
+            switch, ascending, path = pop()
+            if ascending:
+                for upper, cid in up[switch]:
+                    if not seen_up[upper]:
+                        seen_up[upper] = 1
+                        successor = path + (cid,)
+                        if arrival[upper] is None:
+                            arrival[upper] = successor
+                        push((upper, True, successor))
+            for lower, cid in down[switch]:
+                if not seen_down[lower]:
+                    seen_down[lower] = 1
+                    successor = path + (cid,)
+                    if arrival[lower] is None:
+                        arrival[lower] = successor
+                    push((lower, False, successor))
+        return arrival
+
+
 class CompiledGraphRoutes:
     """All deterministic up*/down* routes of one zoo topology as id tuples.
 
@@ -197,9 +515,10 @@ class CompiledGraphRoutes:
     tables a one-cluster system needs: ``full[s * N + d]`` (dense channel
     ids of the shortest legal route) and ``full_has_switch[...]`` (True
     when the route crosses a switch-switch channel).  Same lazy
-    per-source-row discipline, driven by the memoised per-source BFS of
-    :class:`~repro.routing.updown.GraphUpDownRouter` — filling a row costs
-    one breadth-first search plus one walk per destination.
+    per-source-row discipline: filling a row costs one integer
+    breadth-first search from the source's switch (shared with the other
+    hosts of that switch), and a route is ``(injection, *arrival path,
+    ejection)``.
     """
 
     __slots__ = (
@@ -209,53 +528,54 @@ class CompiledGraphRoutes:
         "full_has_switch",
         "lazy",
         "compiled_rows",
-        "_router",
-        "_ids",
+        "_walker",
     )
 
     def __init__(self, spec, lazy: bool | None = None) -> None:
         # Imported lazily: the zoo package is optional on the import path of
         # fat-tree-only consumers.
-        from repro.routing.updown import GraphUpDownRouter
         from repro.topology.zoo.compile import compile_graph
-        from repro.topology.zoo.spec import build_topology
 
-        topology = build_topology(spec)
         compiled = compile_graph(spec)
         self.token = spec.token
-        num_nodes = topology.num_nodes
+        num_nodes = compiled.num_nodes
         self.num_nodes = num_nodes
         self.lazy = num_nodes >= LAZY_NODE_THRESHOLD if lazy is None else bool(lazy)
-        self._router = GraphUpDownRouter(topology)
-        self._ids = compiled.channel_ids
+        self._walker: _GraphWalker | None = _GraphWalker(compiled)
         self.compiled_rows: set = set()
 
         pairs = num_nodes * num_nodes
         self.full: List[IdTuple | None] = [None] * pairs
         self.full_has_switch: List[bool] = [False] * pairs
         if not self.lazy:
-            for source in range(num_nodes):
-                self._fill_row(source)
-            self._router = None
-            self._ids = None
+            self.ensure_complete()
 
     def _fill_row(self, source: int) -> None:
         """Compile the full/has-switch tables for one source row."""
-        router = self._router
-        ids = self._ids
+        walker = self._walker
+        host_switch = walker.host_switch
+        start = host_switch[source]
+        arrival = walker.arrivals(start)
+        paths = [arrival[switch] for switch in host_switch]
+        if None in paths:
+            other = paths.index(None)
+            raise ValidationError(
+                f"no up*/down* route from switch {start} to switch "
+                f"{host_switch[other]} on {self.token}"
+            )  # pragma: no cover - orientation invariant guarantees a route
+        injection = walker.injection[source]
+        _store_row(
+            self.full,
+            [(injection, *path, ejection) for path, ejection in zip(paths, walker.ejection)],
+            source,
+        )
         num_nodes = self.num_nodes
-        full = self.full
-        has_switch = self.full_has_switch
         base = source * num_nodes
-        for other in range(num_nodes):
-            if other == source:
-                continue
-            route = router.route(source, other)
-            full[base + other] = tuple(ids[channel] for channel in route)
-            has_switch[base + other] = any(
-                not channel.kind.is_node_channel for channel in route
-            )
+        self.full_has_switch[base : base + num_nodes] = [switch != start for switch in host_switch]
+        self.full_has_switch[base + source] = False
         self.compiled_rows.add(source)
+        if len(self.compiled_rows) == num_nodes:
+            self._walker = None
 
     def ensure_pair(self, source: int, other: int) -> None:
         """Make sure the row covering ``(source, other)`` is compiled."""
@@ -296,20 +616,11 @@ def install_graph_routes(spec, routes: CompiledGraphRoutes) -> CompiledGraphRout
     return _GRAPH_ROUTES.setdefault(spec.identity, routes)
 
 
-def _rebase(table: List[IdTuple | None], offset: int) -> List[IdTuple | None]:
-    """A shape-local id table shifted into a global channel-id block."""
-    if offset == 0:
-        return table
-    return [
-        None if entry is None else tuple(cid + offset for cid in entry)
-        for entry in table
-    ]
-
-
 class LazyRebasedTable:
     """Pair-indexed view over a lazily filled shape table, rebased on demand.
 
-    Behaves like the flat lists :func:`_rebase` produces — ``view[pair]``
+    Behaves like the rebased flat lists of an eager shape
+    (:meth:`CompiledTreeRoutes.rebased_full`) — ``view[pair]``
     with ``pair = source * N + other`` — but compiles the source row on the
     first query touching it and memoises the offset-shifted tuple, so a
     single-pair lookup against a tall shape costs one row compilation, not
@@ -404,10 +715,11 @@ class CompiledSystemRoutes:
                 ascend.append(LazyRebasedTable(shape, shape.ascending, core.ecn1_offsets[index]))
                 descend.append(LazyRebasedTable(shape, shape.descending, core.ecn1_offsets[index]))
             else:
-                intra.append(_rebase(shape.full, core.icn1_offsets[index]))
+                intra.append(shape.rebased_full(core.icn1_offsets[index]))
                 intra_has_switch.append(shape.full_has_switch)
-                ascend.append(_rebase(shape.ascending, core.ecn1_offsets[index]))
-                descend.append(_rebase(shape.descending, core.ecn1_offsets[index]))
+                ascending, descending = shape.rebased_legs(core.ecn1_offsets[index])
+                ascend.append(ascending)
+                descend.append(descending)
         icn2_shape = compile_tree_routes(spec.m, spec.icn2_height)
         self.intra = intra
         self.intra_has_switch = intra_has_switch
@@ -416,7 +728,7 @@ class CompiledSystemRoutes:
         self.icn2 = (
             LazyRebasedTable(icn2_shape, icn2_shape.full, core.icn2_offset)
             if icn2_shape.lazy
-            else _rebase(icn2_shape.full, core.icn2_offset)
+            else icn2_shape.rebased_full(core.icn2_offset)
         )
         self.concentrator = tuple(
             core.concentrator_slot(index) for index in range(spec.num_clusters)

@@ -235,8 +235,9 @@ class GraphUpDownRouter:
     successors before DOWN successors and neighbours in ascending id
     order, with the first state reaching a switch recorded as that
     switch's arrival.  The search tree is memoised per source switch, so
-    compiling a full source row costs one BFS (O(channels)), not one per
-    destination.
+    routing every destination of one source costs one BFS (O(channels)).
+    The compiled route tables (:mod:`repro.routing.compile`) run the same
+    search over integer channel ids and are checked against this router.
     """
 
     def __init__(self, topology) -> None:

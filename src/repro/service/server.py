@@ -60,7 +60,26 @@ __all__ = ["CampaignServer", "event_name", "event_payload", "serve"]
 #: Queue sentinel: the executor thread is done (result or exception follows).
 _DONE = object()
 
-_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found", 500: "Internal Server Error"}
+#: Largest request body the server reads.  A campaign plan is a few KB of
+#: JSON; a longer declared ``Content-Length`` is answered 413 unread.
+MAX_BODY_BYTES = 8 * 1024 * 1024
+
+_REASONS = {
+    200: "OK",
+    400: "Bad Request",
+    404: "Not Found",
+    413: "Payload Too Large",
+    500: "Internal Server Error",
+}
+
+
+class _RequestError(Exception):
+    """A request the server answers with an error status, unread body and all."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
 
 _EVENT_NAMES = (
     (TaskCompleted, "completed"),
@@ -147,7 +166,11 @@ class CampaignServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            request = await self._read_request(reader)
+            try:
+                request = await self._read_request(reader)
+            except _RequestError as error:
+                await self._send_json(writer, error.status, {"error": str(error)})
+                return
             if request is None:
                 return
             method, path, body = request
@@ -175,7 +198,12 @@ class CampaignServer:
     async def _read_request(
         reader: asyncio.StreamReader,
     ) -> Optional[Tuple[str, str, bytes]]:
-        """Parse one HTTP/1.1 request (method, path, body) — or None on EOF."""
+        """Parse one HTTP/1.1 request (method, path, body) — or None on EOF.
+
+        Raises :class:`_RequestError` for a malformed or negative
+        ``Content-Length`` (400) and for one above :data:`MAX_BODY_BYTES`
+        (413); the body is not read in either case.
+        """
         line = await reader.readline()
         if not line:
             return None
@@ -190,7 +218,14 @@ class CampaignServer:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length", "0") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            raise _RequestError(400, f"malformed Content-Length: {declared!r}")
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
+            raise _RequestError(
+                413, f"request body of {length} bytes exceeds {MAX_BODY_BYTES}"
+            )
         body = await reader.readexactly(length) if length > 0 else b""
         return method, target.split("?", 1)[0], body
 

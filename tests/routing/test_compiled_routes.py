@@ -5,14 +5,19 @@ Every compiled route must decompile to the *exact* Channel sequence the
 routing change — including for asymmetric heterogeneous organisations.
 """
 
+from functools import lru_cache
+
 import pytest
 
+from repro.experiments.configs import figure_panels, table1_specs
 from repro.routing import UpDownRouter, compile_system_routes, compile_tree_routes
 from repro.routing.compile import decompile, route_table_size
 from repro.topology import MPortNTree, MultiClusterSpec, compile_system
 from repro.topology.fat_tree import shared_tree
 
-SHAPES = [(4, 1), (4, 2), (6, 2), (4, 3), (8, 2)]
+#: (8, 3) is the tallest cluster of the paper's N=1120 organisation, the
+#: shape whose compilation dominates a cold Fig. 3 run.
+SHAPES = [(4, 1), (4, 2), (6, 2), (4, 3), (8, 2), (8, 3)]
 
 #: Asymmetric heterogeneous organisations (mixed tree heights, including the
 #: integration-test system and a taller m=4 mix like the N=544 row's groups).
@@ -20,6 +25,29 @@ HETERO_SPECS = [
     MultiClusterSpec(m=4, cluster_heights=(1, 2, 2, 1), name="tiny"),
     MultiClusterSpec(m=4, cluster_heights=(3, 1, 2, 1), name="lopsided"),
 ]
+
+#: The paper's organisations: both Table 1 rows, which are also the systems
+#: of Fig. 3 (N=1120) and Fig. 4 (N=544).
+PAPER_SPECS = list(table1_specs())
+SYSTEM_SPECS = HETERO_SPECS + PAPER_SPECS
+
+
+@lru_cache(maxsize=None)
+def reference_routes(m, n):
+    """Every route and leg of shape ``(m, n)`` from a fresh object router.
+
+    Returns ``(full, ascending, descending)`` dicts keyed by the ordered
+    pair, each value the router's ``Channel`` tuple.  Cached per shape, so
+    the many same-shape clusters of one organisation route only once.
+    """
+    router = UpDownRouter(MPortNTree(m, n))
+    nodes = router.tree.num_nodes
+    pairs = [(s, d) for s in range(nodes) for d in range(nodes) if s != d]
+    return (
+        {pair: router.route(*pair).channels for pair in pairs},
+        {pair: router.ascending_leg(*pair).channels for pair in pairs},
+        {pair: router.descending_leg(*pair).channels for pair in pairs},
+    )
 
 
 class TestTreeRouteRoundTrip:
@@ -76,31 +104,37 @@ class TestTreeRouteRoundTrip:
 
 
 class TestSystemRouteRoundTrip:
-    @pytest.mark.parametrize("spec", HETERO_SPECS, ids=lambda spec: spec.name)
+    def test_paper_specs_are_the_figure_systems(self):
+        assert figure_panels("fig3")[0].system == PAPER_SPECS[0]
+        assert figure_panels("fig4")[0].system == PAPER_SPECS[1]
+
+    @pytest.mark.parametrize("spec", SYSTEM_SPECS, ids=lambda spec: spec.name)
     def test_intra_routes_round_trip_in_every_cluster(self, spec):
         core = compile_system(spec)
         routes = compile_system_routes(spec)
         for index, cluster in enumerate(core.system.clusters):
-            router = UpDownRouter(cluster.icn1)
+            expected, _, _ = reference_routes(spec.m, cluster.height)
             offset = core.icn1_offsets[index]
             nodes = cluster.num_nodes
+            has_switch = routes.intra_has_switch[index]
             for source in range(nodes):
                 for dest in range(nodes):
                     if source == dest:
                         continue
-                    compiled = routes.intra[index][source * nodes + dest]
-                    local = tuple(cid - offset for cid in compiled)
-                    assert (
-                        decompile(spec.m, cluster.height, local)
-                        == router.route(source, dest).channels
+                    pair = source * nodes + dest
+                    local = tuple(cid - offset for cid in routes.intra[index][pair])
+                    channels = expected[source, dest]
+                    assert decompile(spec.m, cluster.height, local) == channels
+                    assert has_switch[pair] == any(
+                        not channel.kind.is_node_channel for channel in channels
                     )
 
-    @pytest.mark.parametrize("spec", HETERO_SPECS, ids=lambda spec: spec.name)
+    @pytest.mark.parametrize("spec", SYSTEM_SPECS, ids=lambda spec: spec.name)
     def test_ecn1_legs_round_trip_in_every_cluster(self, spec):
         core = compile_system(spec)
         routes = compile_system_routes(spec)
         for index, cluster in enumerate(core.system.clusters):
-            router = UpDownRouter(cluster.ecn1)
+            _, ascending, descending = reference_routes(spec.m, cluster.height)
             offset = core.ecn1_offsets[index]
             nodes = cluster.num_nodes
             for source in range(nodes):
@@ -112,14 +146,14 @@ class TestSystemRouteRoundTrip:
                     descent = tuple(cid - offset for cid in routes.descend[index][pair])
                     assert (
                         decompile(spec.m, cluster.height, ascent)
-                        == router.ascending_leg(source, other).channels
+                        == ascending[source, other]
                     )
                     assert (
                         decompile(spec.m, cluster.height, descent)
-                        == router.descending_leg(source, other).channels
+                        == descending[source, other]
                     )
 
-    @pytest.mark.parametrize("spec", HETERO_SPECS, ids=lambda spec: spec.name)
+    @pytest.mark.parametrize("spec", SYSTEM_SPECS, ids=lambda spec: spec.name)
     def test_icn2_routes_round_trip(self, spec):
         core = compile_system(spec)
         routes = compile_system_routes(spec)
@@ -200,7 +234,6 @@ class TestLazyRouteTables:
             CompiledTreeRoutes,
             LazyFlagTable,
             LazyRebasedTable,
-            _rebase,
         )
 
         eager = CompiledTreeRoutes(4, 2, lazy=False)
@@ -208,7 +241,7 @@ class TestLazyRouteTables:
         offset = 1000
         view = LazyRebasedTable(lazy_shape, lazy_shape.full, offset)
         flags = LazyFlagTable(lazy_shape)
-        reference = _rebase(eager.full, offset)
+        reference = eager.rebased_full(offset)
         num_nodes = eager.num_nodes
         assert len(view) == len(reference)
         for pair in range(num_nodes * num_nodes):
@@ -216,3 +249,15 @@ class TestLazyRouteTables:
             assert flags[pair] == eager.full_has_switch[pair]
         # Lazy fill happened row by row as the scan touched sources.
         assert lazy_shape.compiled_rows == set(range(num_nodes))
+
+    def test_completed_lazy_table_releases_its_walker(self):
+        from repro.routing.compile import CompiledTreeRoutes
+
+        table = CompiledTreeRoutes(4, 3, lazy=True)
+        table.ensure_pair(0, 1)
+        assert table._walker is not None  # rows still to fill need it
+        table.ensure_complete()
+        assert table.compiled_rows == set(range(table.num_nodes))
+        assert table._walker is None
+        # Eager tables finish their last row inside the constructor.
+        assert CompiledTreeRoutes(4, 2, lazy=False)._walker is None

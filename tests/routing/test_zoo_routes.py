@@ -10,15 +10,24 @@ Two layers of guarantees:
   (no switch visited twice).
 * **Table equivalence**: the frozen integer tables of
   :class:`CompiledGraphRoutes` match the object-path router route for
-  route on every zoo member, in both eager and lazy compilation modes.
+  route on every zoo member, in both eager and lazy compilation modes —
+  and, in the randomized cases, so do the m-port n-tree tables of
+  :class:`CompiledTreeRoutes` against :class:`UpDownRouter`.
 """
 
-import pytest
-from hypothesis import given, settings, strategies as st
+import random
 
-from repro.routing.compile import CompiledGraphRoutes, compile_graph_routes
-from repro.routing.updown import GraphUpDownRouter
-from repro.topology.fat_tree import ChannelKind
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from repro.routing.compile import (
+    CompiledGraphRoutes,
+    CompiledTreeRoutes,
+    compile_graph_routes,
+)
+from repro.routing.updown import GraphUpDownRouter, UpDownRouter
+from repro.topology.compile import compile_tree
+from repro.topology.fat_tree import ChannelKind, MPortNTree, num_nodes_formula
 from repro.topology.zoo import (
     FanoutTree,
     GraphSwitch,
@@ -38,6 +47,29 @@ ZOO_SPECS = [
     TopologySpec("torus", {"rows": 3, "cols": 3}),
     TopologySpec("torus", {"rows": 4, "cols": 4}),
 ]
+
+#: Larger members checked only against the compiled tables (exhaustive
+#: validity on them would re-walk every pair through the router twice).
+#: The 16x16 torus compares a seeded sample of source rows.
+TABLE_SPECS = ZOO_SPECS + [
+    TopologySpec("fattree", {"k": 8}),
+    TopologySpec("torus", {"rows": 16, "cols": 16}),
+]
+SAMPLED_ROWS = {"zoo-torus-cols16-rows16": 24}
+
+
+def _assert_row_matches_router(tables, graph, router, source):
+    num_nodes = tables.num_nodes
+    for dest in range(num_nodes):
+        pair = source * num_nodes + dest
+        if source == dest:
+            assert tables.full[pair] is None
+            continue
+        route = router.route(source, dest)
+        assert tables.full[pair] == tuple(graph.channel_ids[channel] for channel in route)
+        assert tables.full_has_switch[pair] == any(
+            not channel.kind.is_node_channel for channel in route
+        )
 
 
 def _assert_valid_updown_route(topology, source, dest, route):
@@ -127,6 +159,10 @@ def test_random_tree_routes_are_valid_and_cycle_free(depth, fanout, data):
     source, dest = data.draw(pairs)
     router = GraphUpDownRouter(topology)
     _assert_valid_updown_route(topology, source, dest, router.route(source, dest))
+    spec = TopologySpec("tree", {"depth": depth, "fanout": fanout})
+    tables = CompiledGraphRoutes(spec, lazy=True)
+    tables.ensure_pair(source, dest)
+    _assert_row_matches_router(tables, compile_graph(spec), router, source)
 
 
 @settings(max_examples=30, deadline=None)
@@ -145,31 +181,57 @@ def test_random_torus_routes_are_valid_and_cycle_free(rows, cols, data):
     source, dest = data.draw(pairs)
     router = GraphUpDownRouter(topology)
     _assert_valid_updown_route(topology, source, dest, router.route(source, dest))
+    spec = TopologySpec("torus", {"rows": rows, "cols": cols})
+    tables = CompiledGraphRoutes(spec, lazy=True)
+    tables.ensure_pair(source, dest)
+    _assert_row_matches_router(tables, compile_graph(spec), router, source)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    m=st.sampled_from([2, 4, 6, 8]),
+    n=st.integers(min_value=1, max_value=5),
+    lazy=st.booleans(),
+)
+def test_random_mport_ntree_tables_match_the_router(m, n, lazy):
+    assume(num_nodes_formula(m, n) <= 64)  # every pair goes through the router
+    router = UpDownRouter(MPortNTree(m, n))
+    ids = compile_tree(m, n).channel_ids
+    tables = CompiledTreeRoutes(m, n, lazy=lazy)
+    tables.ensure_complete()
+    num_nodes = tables.num_nodes
+    for source in range(num_nodes):
+        for other in range(num_nodes):
+            pair = source * num_nodes + other
+            if source == other:
+                assert tables.full[pair] is None
+                continue
+            route = router.route(source, other)
+            assert tables.full[pair] == tuple(ids[channel] for channel in route)
+            assert tables.full_has_switch[pair] == (route.switch_channels > 0)
+            assert tables.ascending[pair] == tuple(
+                ids[channel] for channel in router.ascending_leg(source, other)
+            )
+            assert tables.descending[pair] == tuple(
+                ids[channel] for channel in router.descending_leg(source, other)
+            )
 
 
 # --------------------------------------------------------------------------- #
 # Compiled integer tables == object-path router
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("spec", ZOO_SPECS, ids=lambda spec: spec.token)
+@pytest.mark.parametrize("spec", TABLE_SPECS, ids=lambda spec: spec.token)
 def test_compiled_tables_match_router_route_for_route(spec):
     topology = build_topology(spec)
     graph = compile_graph(spec)
     router = GraphUpDownRouter(topology)
     tables = compile_graph_routes(spec)
     tables.ensure_complete()
-    num_nodes = topology.num_nodes
-    for source in range(num_nodes):
-        for dest in range(num_nodes):
-            pair = source * num_nodes + dest
-            if source == dest:
-                assert tables.full[pair] is None
-                continue
-            route = router.route(source, dest)
-            expected = tuple(graph.channel_ids[channel] for channel in route)
-            assert tables.full[pair] == expected
-            assert tables.full_has_switch[pair] == any(
-                not channel.kind.is_node_channel for channel in route
-            )
+    sources = range(topology.num_nodes)
+    if spec.token in SAMPLED_ROWS:
+        sources = random.Random(1).sample(sources, SAMPLED_ROWS[spec.token])
+    for source in sources:
+        _assert_row_matches_router(tables, graph, router, source)
 
 
 @pytest.mark.parametrize("spec", ZOO_SPECS[:2], ids=lambda spec: spec.token)
@@ -180,3 +242,13 @@ def test_lazy_and_eager_tables_agree(spec):
     lazy.ensure_complete()
     assert lazy.full == eager.full
     assert lazy.full_has_switch == eager.full_has_switch
+
+
+def test_completed_lazy_table_releases_its_walker():
+    spec = TopologySpec("fattree", {"k": 4})
+    lazy = CompiledGraphRoutes(spec, lazy=True)
+    lazy.ensure_pair(0, 5)
+    assert lazy._walker is not None  # rows still to fill need it
+    lazy.ensure_complete()
+    assert lazy._walker is None
+    assert CompiledGraphRoutes(spec, lazy=False)._walker is None

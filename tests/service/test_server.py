@@ -11,6 +11,7 @@ end-to-end acceptance path through spawn workers and shared memory.
 import asyncio
 import http.client
 import json
+import socket
 import threading
 
 import pytest
@@ -25,7 +26,7 @@ from repro.campaign import (
 )
 from repro.model.parameters import MessageSpec
 from repro.service import CampaignServer, WorkerDaemon
-from repro.service.server import event_name, event_payload
+from repro.service.server import MAX_BODY_BYTES, event_name, event_payload
 from repro.sim.config import SimulationConfig
 from repro.store import ResultStore
 from repro.topology.multicluster import MultiClusterSpec
@@ -100,6 +101,20 @@ class ServerHandle:
             return response.status, dict(response.getheaders()), payload
         finally:
             conn.close()
+
+    def raw_request(self, head: bytes):
+        """Send raw request bytes; returns (status, body bytes) of the answer."""
+        with socket.create_connection(("127.0.0.1", self.port), timeout=30) as conn:
+            conn.sendall(head)
+            chunks = []
+            while True:
+                chunk = conn.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        response = b"".join(chunks)
+        status_line, _, rest = response.partition(b"\r\n")
+        return int(status_line.split()[1]), rest.partition(b"\r\n\r\n")[2]
 
     def post_plan(self, campaign: Campaign):
         """POST a plan and parse the SSE stream into (name, payload) pairs."""
@@ -181,6 +196,27 @@ class TestHttpSurface:
         status, _, body = handle.request("POST", "/campaigns", json.dumps({"x": 1}))
         assert status == 400
         assert "entries" in json.loads(body)["error"]
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "12x", "1_0", "\u00b2"])
+    def test_malformed_content_length_is_400(self, handle, length):
+        head = (
+            f"POST /campaigns HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n\r\n{{}}"
+        ).encode("latin-1")
+        status, body = handle.raw_request(head)
+        assert status == 400
+        assert "Content-Length" in json.loads(body)["error"]
+
+    def test_oversized_body_is_413_without_reading_it(self, handle):
+        # The declared body never arrives: the answer must not wait for it.
+        head = (
+            "POST /campaigns HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n"
+        ).encode("latin-1")
+        status, body = handle.raw_request(head)
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in json.loads(body)["error"]
+        # The server keeps serving after rejecting the request.
+        assert handle.request("GET", "/health")[0] == 200
 
     def test_rejected_plan_does_not_count_as_served(self, handle):
         handle.request("POST", "/campaigns", "{not json")
